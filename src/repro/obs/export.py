@@ -120,7 +120,6 @@ class RunReport:
 
     schema: int = RUN_REPORT_SCHEMA
     label: str = ""
-    jobs: int = 1
     elapsed_seconds: float = 0.0
     counters: Dict[str, int] = field(default_factory=dict)
     histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -137,13 +136,12 @@ class RunReport:
         metrics: Optional[MetricsRegistry] = None,
         *,
         label: str = "",
-        jobs: int = 1,
         elapsed_seconds: float = 0.0,
         degradation=None,
         entries: Optional[List[Dict[str, Any]]] = None,
         suggestions: Optional[List[Dict[str, Any]]] = None,
     ) -> "RunReport":
-        report = cls(label=label, jobs=jobs, elapsed_seconds=elapsed_seconds)
+        report = cls(label=label, elapsed_seconds=elapsed_seconds)
         if metrics is not None:
             report.counters = dict(metrics.counters())
             for name in metrics.histogram_names():
@@ -164,7 +162,6 @@ class RunReport:
         return {
             "schema": self.schema,
             "label": self.label,
-            "jobs": self.jobs,
             "elapsed_seconds": self.elapsed_seconds,
             "counters": self.counters,
             "histograms": self.histograms,
@@ -193,7 +190,6 @@ class RunReport:
         return cls(
             schema=version,
             label=data.get("label", ""),
-            jobs=data.get("jobs", 1),
             elapsed_seconds=data.get("elapsed_seconds", 0.0),
             counters=dict(data.get("counters", {})),
             histograms=dict(data.get("histograms", {})),
@@ -219,10 +215,6 @@ def degradation_as_dict(report) -> Dict[str, Any]:
         "oracle_crashes": report.oracle_crashes,
         "prefix_fallbacks": report.prefix_fallbacks,
         "depth_rejections": report.depth_rejections,
-        "worker_crashes": report.worker_crashes,
-        "worker_restarts": getattr(report, "worker_restarts", 0),
-        "quarantined": getattr(report, "quarantined", 0),
-        "watchdog_kills": getattr(report, "watchdog_kills", 0),
         "phases_shed": dict(report.phases_shed),
         "elapsed_seconds": report.elapsed_seconds,
         "deadline_seconds": report.deadline_seconds,

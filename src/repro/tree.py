@@ -289,7 +289,7 @@ class HCKey:
     this the cheap currency of the whole search pipeline:
 
     * the hash is computed once at construction, so every later dict
-      operation (dedup memo, oracle cache, decl-table lookups) costs O(1)
+      operation (oracle cache, decl-table and store lookups) costs O(1)
       instead of re-hashing the whole subtree — CPython does not cache
       tuple hashes, so the old nested-tuple keys paid O(subtree) on every
       lookup;

@@ -1,8 +1,7 @@
 """One structural keyer per search (interning shared across checks).
 
-Candidate dedup, the oracle's verdict cache, and the declaration outcome
-table all key the same subtrees; before this change each kept a private
-memo and re-walked shared structure.  The searcher now owns a single
+The oracle's verdict cache and the declaration outcome table key the same
+subtrees; each used to keep a private memo and re-walk shared structure.  The searcher now owns a single
 :class:`~repro.tree.StructuralKeyer` per search, adopts it into the
 oracle, and reports how much it interned as ``search.keys.interned``.
 """
@@ -20,8 +19,6 @@ class TestSharedKeyer:
     def test_oracle_adopts_the_search_keyer(self):
         searcher = Searcher(config=SearchConfig())
         assert searcher.oracle._keyer is searcher._keyer
-        if searcher.config.dedup:
-            assert searcher._dedup_keyer is searcher._keyer
 
     def test_adopt_refuses_custom_key_fn(self):
         oracle = Oracle(key_fn=lambda node: repr(node))
@@ -43,11 +40,14 @@ class TestSharedKeyer:
         assert metrics.value("search.keys.interned") > 0
 
     def test_keyer_resets_between_searches(self):
+        solo = "let solo = 1 + true"
+        fresh = Searcher(config=SearchConfig())
+        fresh.search_program(parse_program(solo))
         searcher = Searcher(config=SearchConfig())
         searcher.search_program(parse_program(ILL_TYPED))
-        grown = searcher._keyer.interned
-        assert grown > 0
-        searcher.search_program(parse_program("let solo = 1 + true"))
-        # A fresh search starts from a cleared memo: the second (smaller)
-        # program cannot still see the first one's interned entries.
-        assert searcher._keyer.interned < grown
+        assert searcher._keyer.interned > 0
+        searcher.search_program(parse_program(solo))
+        # A fresh search starts from a cleared memo: the second program
+        # interns exactly what it would on a brand-new searcher, without
+        # any of the first program's entries.
+        assert searcher._keyer.interned == fresh._keyer.interned

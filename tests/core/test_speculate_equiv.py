@@ -2,8 +2,7 @@
 
 The tentpole's acceptance bar: everything user-visible is *byte
 identical* with speculation on vs off, composed with every other reuse
-tier — dependency pruning on/off, ``jobs=1`` vs ``jobs=4``, verdict store
-cold vs warm.  Only the ``oracle.trail.*`` telemetry (plus the families
+tier — dependency pruning on/off, verdict store cold vs warm.  Only the ``oracle.trail.*`` telemetry (plus the families
 the composed toggles already own) and wall time may differ.
 """
 
@@ -117,35 +116,6 @@ class TestSerialEquivalence:
             )
             assert _visible(on) == _visible(off)
             assert _events(ev_on) == _events(ev_off)
-
-
-class TestPooledEquivalence:
-    """jobs=4 on the largest representatives (the ones that dispatch
-    batches): speculation must not perturb the pooled protocol either."""
-
-    def _largest(self, corpus_files, n=4):
-        return sorted(
-            corpus_files, key=lambda c: len(c.program.decls), reverse=True
-        )[:n]
-
-    def test_speculate_on_vs_off_jobs4(self, corpus_files):
-        for corpus_file in self._largest(corpus_files):
-            on, _, ev_on = _run(corpus_file.program, jobs=4)
-            off, _, ev_off = _run(corpus_file.program, jobs=4, speculate=False)
-            assert _visible(on) == _visible(off)
-            assert _events(ev_on) == _events(ev_off)
-
-    def test_jobs4_matches_jobs1_with_speculation(self, corpus_files):
-        def sans_jobs(events):
-            # The search_started event echoes the jobs *configuration*;
-            # everything else must match across pool sizes.
-            return [{k: v for k, v in e.items() if k != "jobs"} for e in events]
-
-        for corpus_file in self._largest(corpus_files):
-            serial, _, ev1 = _run(corpus_file.program)
-            pooled, _, ev4 = _run(corpus_file.program, jobs=4)
-            assert _visible(serial) == _visible(pooled)
-            assert sans_jobs(_events(ev1)) == sans_jobs(_events(ev4))
 
 
 class TestStoreEquivalence:

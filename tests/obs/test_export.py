@@ -89,7 +89,6 @@ class TestRunReport:
         report = RunReport.from_run(
             reg,
             label="fig2.ml",
-            jobs=4,
             elapsed_seconds=1.25,
             degradation=degradation,
             suggestions=[{"rank": 1, "kind": "replace", "rule": "swap-args"}],

@@ -35,7 +35,7 @@ def sample_event_log(path):
         path,
         [
             event_line(0, "log_started", pid=1, wall_time=0.0),
-            event_line(1, "search_started", label="a.ml", decls=5, jobs=2),
+            event_line(1, "search_started", label="a.ml", decls=5),
             event_line(2, "oracle_crash", error="Boom in infer"),
             event_line(3, "phase_shed", phase="triage"),
             event_line(
@@ -43,7 +43,6 @@ def sample_event_log(path):
                 "degradation",
                 reasons=["deadline"],
                 phases_shed={"triage": 3},
-                worker_crashes=0,
                 crash_samples=["Boom in infer"],
             ),
             event_line(
@@ -141,50 +140,38 @@ class TestAggregation:
         assert "75.0%" in text
         assert "invalidated" in text
 
-    def test_supervision_incidents_not_double_counted(self, tmp_path):
-        """A supervised run logs each incident twice — per-occurrence
-        events as they happen, plus the end-of-run degradation summary
-        (and the metrics counters carry them a third time).  The
-        aggregate must reconcile the three views, not sum them."""
-        path = tmp_path / "sup.jsonl"
+    def test_old_worker_event_lines_still_read(self, tmp_path, capsys):
+        """Logs written before the candidate pool was removed carry
+        ``worker_crash``/``worker_restart`` lines, worker fields in the
+        degradation summary and ``parallel.*`` counters; the report reads
+        them as unknown data and exits 0."""
+        path = tmp_path / "old.jsonl"
         write_event_log(
             path,
             [
                 event_line(0, "log_started", pid=1, wall_time=0.0),
                 event_line(1, "worker_crash", error="boom"),
                 event_line(2, "worker_restart", worker=0),
-                event_line(3, "worker_crash", error="boom"),
-                event_line(4, "worker_restart", worker=1),
-                event_line(5, "quarantine", digest="abc"),
                 event_line(
-                    6,
+                    3,
                     "degradation",
                     reasons=[],
-                    worker_crashes=2,
-                    worker_restarts=2,
-                    quarantined=1,
-                    watchdog_kills=0,
+                    worker_crashes=1,
+                    worker_restarts=1,
                 ),
                 event_line(
-                    7,
+                    4,
                     "metrics",
-                    counters={
-                        "parallel.worker_crashes": 2,
-                        "parallel.restarts": 2,
-                        "parallel.quarantined": 1,
-                    },
+                    counters={"oracle.calls": 3, "parallel.worker_crashes": 1},
                 ),
-                event_line(8, "log_closed", events=8),
+                event_line(5, "log_closed", events=5),
             ],
         )
-        agg = load_any(str(path))
-        text = render_aggregate(agg)
-        assert "worker restarts           2" in text
-        assert "worker crashes" in text and "quarantined candidates    1" in text
-        report = aggregate_to_report(agg)
-        assert report.degradation["worker_crashes"] == 2
-        assert report.degradation["worker_restarts"] == 2
-        assert report.degradation["quarantined"] == 1
+        assert main([str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "supervision" not in out
+        assert "worker crashes" not in out
+        assert "worker restarts" not in out
 
     def test_unknown_event_schema_propagates(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -132,13 +132,34 @@ class TestExplainSubcommand:
 
 
 class TestSingleFileJobs:
-    def test_jobs_flag_byte_identical_output(self, batch_dir, capsys):
-        serial_code = main([str(batch_dir / "bad.ml")])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "2"],
+            ["--candidate-timeout", "30"],
+            ["--worker-rss-mb", "512"],
+            ["--no-dedup"],
+        ],
+    )
+    def test_single_file_pool_flags_are_usage_errors(self, batch_dir, flags, capsys):
+        # Candidates are always checked in-process; the single-file form
+        # has no pool to configure.
+        with pytest.raises(SystemExit) as exc:
+            main([str(batch_dir / "bad.ml")] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert flags[0] in err
+
+    def test_batch_jobs_2_still_works(self, batch_dir, capsys):
+        files = [str(batch_dir / "bad.ml"), str(batch_dir / "ok.ml")]
+        serial_code = main(["explain"] + files)
         serial_out = capsys.readouterr().out
-        parallel_code = main([str(batch_dir / "bad.ml"), "--jobs", "2"])
+        parallel_code = main(["explain", "--jobs", "2"] + files)
         parallel_out = capsys.readouterr().out
         assert parallel_code == serial_code == 1
-        assert parallel_out == serial_out
+        strip = lambda out: [line.rsplit(None, 1)[0] for line in out.splitlines()]
+        assert strip(parallel_out) == strip(serial_out)
 
     def test_metrics_flag_prints_merged_telemetry(self, batch_dir, capsys):
         code = main(["explain", "--dir", str(batch_dir), "--metrics"])
@@ -171,10 +192,6 @@ class TestSingleFileJobs:
         assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "3 search(es)" in out
-
-    def test_no_dedup_flag_accepted(self, batch_dir, capsys):
-        assert main([str(batch_dir / "bad.ml"), "--no-dedup"]) == 1
-        capsys.readouterr()
 
 
 class TestDirScanHardening:

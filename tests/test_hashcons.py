@@ -1,10 +1,10 @@
 """Hash-consed structural keys: equality, interning, digests, pickling.
 
 :class:`~repro.tree.HCKey` is the currency of every key-addressed layer —
-the dedup memo, the oracle cache, the decl table, the persistent store's
-``key_digest`` — so its equality semantics must match
-:func:`~repro.tree.structurally_equal` exactly, survive pickling (workers
-return keys across process boundaries), and its content digest must be
+the oracle cache, the decl table, the persistent store's ``key_digest``
+— so its equality semantics must match
+:func:`~repro.tree.structurally_equal` exactly, survive pickling (keys may
+cross process boundaries), and its content digest must be
 deterministic across keyers.
 """
 
