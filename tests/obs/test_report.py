@@ -79,6 +79,20 @@ def sample_event_log(path):
     )
 
 
+#: Event kinds only the removed candidate pool's supervisor wrote; logs
+#: from before its removal may still carry them.
+OLD_SUPERVISION_KINDS = [
+    "worker_crash",
+    "worker_hang",
+    "worker_restart",
+    "breaker_open",
+    "breaker_half_open",
+    "breaker_closed",
+    "quarantine",
+    "watchdog_kill",
+]
+
+
 def sample_run_report(counters=None, **kwargs):
     reg = MetricsRegistry()
     for name, value in (counters or {"oracle.calls": 10}).items():
@@ -172,6 +186,23 @@ class TestAggregation:
         assert "supervision" not in out
         assert "worker crashes" not in out
         assert "worker restarts" not in out
+
+    @pytest.mark.parametrize("kind", OLD_SUPERVISION_KINDS)
+    def test_old_supervision_kind_is_ignored(self, tmp_path, capsys, kind):
+        """An old supervision line neither fails the report nor moves what
+        it aggregates: the log reads exactly as it would without it."""
+        plain = tmp_path / "plain.jsonl"
+        sample_event_log(plain)
+        lines = plain.read_text().splitlines()
+        old = tmp_path / "old.jsonl"
+        write_event_log(
+            old, lines[:2] + [event_line(1, kind, worker=0, error="boom")] + lines[2:]
+        )
+        assert main([str(old)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "supervision" not in out
+        main([str(plain)])
+        assert out == capsys.readouterr().out.replace(str(plain), str(old))
 
     def test_unknown_event_schema_propagates(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -280,6 +311,34 @@ class TestMain:
         doc["counters"]["oracle.calls"] -= 5
         base.write_text(json.dumps(doc))
         assert main([str(path), "--diff", str(base), "--threshold", "0.5"]) == EXIT_OK
+
+    def test_diff_against_baseline_with_pool_fields_is_ok(self, tmp_path, capsys):
+        """A baseline saved before the candidate pool was removed carries
+        ``parallel.*`` counters and worker fields; diffing a run that has
+        none of them is not a regression and shows no supervision rows."""
+        path = tmp_path / "e.jsonl"
+        base = tmp_path / "base.json"
+        sample_event_log(path)
+        assert main([str(path), "--save", str(base)]) == EXIT_OK
+        doc = json.loads(base.read_text())
+        doc["counters"].update(
+            {
+                "parallel.batches": 4,
+                "parallel.candidates": 40,
+                "parallel.worker_crashes": 2,
+                "parallel.worker_restarts": 2,
+            }
+        )
+        doc["degradation"].update(
+            {"worker_crashes": 2, "worker_restarts": 2, "quarantined": 1,
+             "watchdog_kills": 1}
+        )
+        base.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([str(path), "--diff", str(base)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out
+        assert "supervision" not in out
 
     def test_unknown_schema_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
