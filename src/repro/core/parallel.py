@@ -23,6 +23,11 @@ AUTO_JOBS = "auto"
 
 Jobs = Union[int, str, None]
 
+#: The verdict stores a pool worker keeps open across its tasks, keyed by
+#: ``(pid, path)``.  Workers never close them: every task flushes its
+#: writes and hit markers before returning.
+_WORKER_STORES: dict = {}
+
 
 def resolve_jobs(jobs: Jobs) -> int:
     """Normalize a ``jobs`` knob to a worker count (1 = serial).
@@ -85,11 +90,14 @@ def explain_batch_worker(
     :class:`ExplainResult` cannot cross the process boundary (the entry is
     then shipped with ``result=None``).  Input failures (parse errors,
     undecodable text) become ``error`` entries, not exceptions: one bad
-    file must never sink the batch.
+    file must never sink the batch.  A path-valued ``store`` is opened on
+    the worker's first task and reused by its later ones.
     """
     from repro.core.seminal import _explain_entry
 
-    entry = _explain_entry(label, source, top, pickle.loads(kwargs_blob))
+    entry = _explain_entry(
+        label, source, top, pickle.loads(kwargs_blob), _WORKER_STORES
+    )
     try:
         return pickle.dumps(entry)
     except Exception:

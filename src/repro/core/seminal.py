@@ -312,8 +312,32 @@ class BatchEntry:
     result: Optional[ExplainResult] = None
 
 
+def _process_store(path, stores: Dict):
+    """This process's open :class:`~repro.store.VerdictStore` for ``path``.
+
+    Opened on first use and cached in ``stores`` under ``(pid, path)``, so
+    a forked child never reuses its parent's object; on reuse, segments
+    published since (by any process) are loaded first.  None when the path
+    cannot be opened: the caller then forwards the path itself, and
+    :func:`explain` fails on it per file, after parsing, as it always has.
+    """
+    from repro.store import VerdictStore
+
+    key = (os.getpid(), os.fspath(path))
+    store = stores.get(key)
+    if store is not None:
+        store.refresh()
+        return store
+    try:
+        store = VerdictStore(path)
+    except OSError:
+        return None
+    stores[key] = store
+    return store
+
+
 def _explain_entry(
-    label: str, source: str, top: int, kwargs: Dict
+    label: str, source: str, top: int, kwargs: Dict, stores: Dict
 ) -> BatchEntry:
     """Run one :func:`explain` call and package it as a :class:`BatchEntry`
     (exceptions become error entries — this must never raise).
@@ -322,10 +346,16 @@ def _explain_entry(
     runs the search under a fresh :class:`~repro.obs.MetricsRegistry` and
     ships its snapshot in :attr:`BatchEntry.metrics` — the route batch
     telemetry takes home from worker processes, since a live registry
-    cannot cross the boundary.
+    cannot cross the boundary.  A path-valued ``store`` is swapped for the
+    process's open store from ``stores`` (see :func:`_process_store`).
     """
     start = time.perf_counter()
     entry = BatchEntry(label=label, worker_pid=os.getpid())
+    store = kwargs.get("store")
+    if isinstance(store, (str, os.PathLike)):
+        opened = _process_store(store, stores)
+        if opened is not None:  # not ``or``: an empty store is falsy
+            kwargs["store"] = opened
     registry = None
     if kwargs.pop("collect_metrics", False) and kwargs.get("metrics") is None:
         from repro.obs import MetricsRegistry
@@ -377,6 +407,14 @@ def explain_many(
 
     A worker-process failure degrades, never raises: affected programs are
     transparently re-run serially in the parent.
+
+    A path-valued ``store`` is opened once per process, not once per
+    file: the serial parent opens it before the first file and closes it
+    after the last; each pool worker opens it on its first task and keeps
+    it for the rest of the batch.  Before each later file the process
+    loads only the segments published since
+    (:meth:`~repro.store.VerdictStore.refresh`), so workers still share
+    each other's verdicts.
     """
     source_list = list(sources)
     if labels is None:
@@ -390,42 +428,47 @@ def explain_many(
     from .parallel import _fork_context, explain_batch_worker, resolve_jobs
 
     n_jobs = min(resolve_jobs(jobs), max(1, len(source_list)))
-    if n_jobs <= 1:
-        return [
-            _explain_entry(label, source, top, dict(kwargs))
-            for label, source in zip(label_list, source_list)
-        ]
-
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .parallel import terminate_executor
-
-    kwargs_blob = pickle.dumps(dict(kwargs))
-    entries: List[Optional[BatchEntry]] = [None] * len(source_list)
-    pool = ProcessPoolExecutor(max_workers=n_jobs, mp_context=_fork_context())
+    stores: Dict = {}
     try:
-        futures = [
-            pool.submit(explain_batch_worker, label, source, top, kwargs_blob)
-            for label, source in zip(label_list, source_list)
-        ]
-        for i, future in enumerate(futures):
-            try:
-                entries[i] = pickle.loads(future.result())
-            except Exception:
-                entries[i] = None  # worker died: parent re-runs below
-    except Exception:
-        pass  # a broken executor degrades every pending entry to serial
-    except BaseException:
-        # KeyboardInterrupt (or another teardown signal) mid-batch: kill
-        # the workers *now* — shutdown(wait=True) would block on checks
-        # already in flight — then let the interrupt propagate.
-        terminate_executor(pool)
-        raise
-    pool.shutdown(wait=True)
-    for i, entry in enumerate(entries):
-        if entry is None:
-            entries[i] = _explain_entry(
-                label_list[i], source_list[i], top, dict(kwargs)
-            )
-    return entries
+        if n_jobs <= 1:
+            return [
+                _explain_entry(label, source, top, dict(kwargs), stores)
+                for label, source in zip(label_list, source_list)
+            ]
+
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+
+        from .parallel import terminate_executor
+
+        kwargs_blob = pickle.dumps(dict(kwargs))
+        entries: List[Optional[BatchEntry]] = [None] * len(source_list)
+        pool = ProcessPoolExecutor(max_workers=n_jobs, mp_context=_fork_context())
+        try:
+            futures = [
+                pool.submit(explain_batch_worker, label, source, top, kwargs_blob)
+                for label, source in zip(label_list, source_list)
+            ]
+            for i, future in enumerate(futures):
+                try:
+                    entries[i] = pickle.loads(future.result())
+                except Exception:
+                    entries[i] = None  # worker died: parent re-runs below
+        except Exception:
+            pass  # a broken executor degrades every pending entry to serial
+        except BaseException:
+            # KeyboardInterrupt (or another teardown signal) mid-batch: kill
+            # the workers *now* — shutdown(wait=True) would block on checks
+            # already in flight — then let the interrupt propagate.
+            terminate_executor(pool)
+            raise
+        pool.shutdown(wait=True)
+        for i, entry in enumerate(entries):
+            if entry is None:
+                entries[i] = _explain_entry(
+                    label_list[i], source_list[i], top, dict(kwargs), stores
+                )
+        return entries
+    finally:
+        for store in stores.values():
+            store.close()

@@ -9,7 +9,8 @@ Subcommands::
                                                 least-recently-hit segments
                                                 until under the cap
 
-Exit codes: 0 on success, 2 on usage errors (matching the main CLI).
+Exit codes: 0 on success, 2 on usage errors or an unusable store path
+(matching the main CLI).
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ def cache_main(argv: Optional[List[str]] = None, out=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    store = VerdictStore(args.store, read_only=(args.action == "stats"))
+    try:
+        store = VerdictStore(args.store, read_only=(args.action == "stats"))
+    except OSError as err:  # e.g. --store names a regular file
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.action == "stats":
         stats = store.stats()
         print(f"store: {stats.path}", file=out)

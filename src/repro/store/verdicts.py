@@ -18,11 +18,15 @@ schema) skips that line or segment and keeps going: the store degrades to
 a smaller cache, it never raises (the :mod:`repro.core.resilience`
 contract).
 
+A long-lived reader (a batch process explaining many files) opens the
+store once and calls :meth:`VerdictStore.refresh` between files: it loads
+only the segments published since, by any process.
+
 Entries whose header fingerprint does not match the current
 :func:`~repro.store.fingerprint.checker_fingerprint` are counted as
-invalidated and not indexed; ``compact`` deletes such segments outright
-and enforces a byte-size cap by evicting the least-recently-hit segments
-first.
+invalidated (once per open store) and not indexed; ``compact`` deletes
+such segments outright and enforces a byte-size cap by evicting the
+least-recently-hit segments first.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .fingerprint import checker_fingerprint, key_digest
 
@@ -143,6 +147,9 @@ class VerdictStore:
         self._pending: List[dict] = []
         self._segment_seq = 0
         self._hit_segments: Dict[str, float] = {}
+        #: Segment names already loaded, published by this store, or
+        #: skipped for good (corrupt, future schema): never read again.
+        self._seen: Set[str] = set()
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -152,7 +159,7 @@ class VerdictStore:
         self._invalidated_unreported = 0
         if not read_only:
             self.path.mkdir(parents=True, exist_ok=True)
-        self._load()
+        self.refresh()
 
     # ------------------------------------------------------------------
     # Loading (degrade, never raise)
@@ -170,9 +177,17 @@ class VerdictStore:
             return []
         return names
 
-    def _load(self) -> None:
+    def refresh(self) -> None:
+        """Load the segments this store has not seen yet.
+
+        A segment whose read failed after its retries is tried again on
+        the next refresh; every other segment is read at most once.
+        """
         for segment in self._segment_files():
-            self._load_segment(segment)
+            if segment.name in self._seen:
+                continue
+            if self._load_segment(segment):
+                self._seen.add(segment.name)
 
     def _with_retry(self, fn):
         """Wrap one I/O seam in the store's retry policy (lazy import —
@@ -199,27 +214,28 @@ class VerdictStore:
             os.fsync(fh.fileno())
         os.replace(tmp, final)
 
-    def _load_segment(self, segment: Path) -> None:
+    def _load_segment(self, segment: Path) -> bool:
+        """Index one segment; False when its read failed (retry later)."""
         try:
             lines = self._with_retry(self._read_segment_text)(segment).splitlines()
         except OSError:
             self.io_errors += 1
             self.skipped_segments += 1
-            return
+            return False
         if not lines:
             self.skipped_segments += 1
-            return
+            return True
         try:
             header = json.loads(lines[0])
             version = header["v"]
             seg_fp = header["checker"]
         except Exception:
             self.skipped_segments += 1
-            return
+            return True
         if version != 1:
             # A future schema: skip the whole segment, never misread it.
             self.skipped_segments += 1
-            return
+            return True
         stale = seg_fp != self._fingerprint
         for line in lines[1:]:
             if not line.strip():
@@ -246,6 +262,7 @@ class VerdictStore:
                 self.skipped_lines += 1
                 continue
             self._index[address] = entry
+        return True
 
     # ------------------------------------------------------------------
     # The probe/write interface
@@ -326,15 +343,22 @@ class VerdictStore:
         return tmp, final
 
     def flush(self) -> Optional[str]:
-        """Publish buffered writes as one new segment (atomic rename).
+        """Publish buffered writes as one new segment (atomic rename) and
+        persist hit-recency markers.
 
         Returns the published segment name, or None when there was
         nothing to publish or publication failed (failure degrades: the
         verdicts stay served from memory for this process and are simply
-        recomputed by the next one).
+        recomputed by the next one).  Markers are written here, not only
+        in :meth:`close`, because batch workers never close their store.
         """
-        if self.read_only or not self._pending:
+        if self.read_only:
             return None
+        published = self._publish() if self._pending else None
+        self._write_hit_markers()
+        return published
+
+    def _publish(self) -> Optional[str]:
         tmp, final = self._next_names()
         header = json.dumps({"v": 1, "checker": self._fingerprint})
         body = "\n".join(
@@ -349,7 +373,13 @@ class VerdictStore:
             except OSError:
                 pass
             return None
+        # Own verdicts now live in a named segment: hits on them from
+        # later files of this process mark that segment as recently used.
+        for e in self._pending:
+            address = (e["p"], e["k"])
+            self._index[address] = replace(self._index[address], segment=final.name)
         self._pending = []
+        self._seen.add(final.name)
         return final.name
 
     def _write_hit_markers(self) -> None:
@@ -373,7 +403,6 @@ class VerdictStore:
     def close(self) -> None:
         """Flush pending writes and persist hit-recency markers."""
         self.flush()
-        self._write_hit_markers()
 
     def __enter__(self) -> "VerdictStore":
         return self
@@ -432,6 +461,7 @@ class VerdictStore:
         self._index = {}
         self._pending = []
         self._hit_segments = {}
+        self._seen = set()
         return removed
 
     @staticmethod

@@ -53,6 +53,19 @@ class TestCacheSubcommand:
     def test_missing_store_usage_error(self, capsys):
         assert main(["cache", "stats"]) == 2
 
+    @pytest.mark.parametrize("action", [["clear"], ["compact"],
+                                        ["compact", "--max-bytes", "0"]])
+    def test_regular_file_store_is_an_error_not_a_traceback(
+        self, tmp_path, action, capsys
+    ):
+        not_a_dir = tmp_path / "store"
+        not_a_dir.write_text("")
+        code = main(["cache", *action, "--store", str(not_a_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not_a_dir.read_text() == ""
+
 
 class TestStoreFlag:
     def test_single_mode_warm_output_identical(self, tmp_path, capsys):
@@ -89,6 +102,32 @@ class TestStoreFlag:
             line.rsplit("  ", 1)[0] for line in text.splitlines()
         ]
         assert strip(warm_out) == strip(cold_out)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_unusable_store_rows_are_input_errors(
+        self, tmp_path, jobs, capsys
+    ):
+        bad = tmp_path / "bad.ml"
+        bad.write_text(ILL_TYPED)
+        broken = tmp_path / "broken.ml"
+        broken.write_text("let let = (\n")
+        not_a_dir = tmp_path / "store"
+        not_a_dir.write_text("")
+        code = main(["explain", str(bad), str(broken), "--store",
+                     str(not_a_dir), "--jobs", jobs, "--verbose"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        rows = captured.out.splitlines()
+        assert rows[1].split()[:2] == [str(bad), "input-error"]
+        assert rows[2].split()[:2] == [str(broken), "input-error"]
+        assert rows[3] == (
+            "2 files: 0 ok, 0 ill-typed (0 without suggestions), 2 input errors"
+        )
+        # Per file, as when every file opened the store itself: the parse
+        # error comes first, a parseable file reports the store path.
+        assert f"error: [Errno 17] File exists: '{not_a_dir}'" in captured.out
+        assert "error: 1:5: expected a pattern" in captured.out
 
     def test_stats_line_identical_cold_and_warm(self, tmp_path, capsys):
         source = tmp_path / "bad.ml"

@@ -203,6 +203,15 @@ class TestInvalidation:
         assert store.take_invalidated() == 3
         assert store.take_invalidated() == 0
 
+    def test_refresh_does_not_recount_invalidated(self, tmp_path):
+        self._write_stale_segment(tmp_path / "s")
+        store = VerdictStore(tmp_path / "s")
+        store.refresh()
+        assert store.invalidated == 3
+        assert store.take_invalidated() == 3
+        store.refresh()
+        assert store.take_invalidated() == 0
+
     def test_compact_deletes_stale_segments(self, tmp_path):
         self._write_stale_segment(tmp_path / "s")
         with VerdictStore(tmp_path / "s") as store:
@@ -213,6 +222,69 @@ class TestInvalidation:
         fresh = VerdictStore(tmp_path / "s")
         assert fresh.invalidated == 0
         assert len(fresh) == 1
+
+
+class CountingReads(VerdictStore):
+    """Records the name of every segment the store reads."""
+
+    def __init__(self, path, **kwargs):
+        self.reads = []
+        super().__init__(path, **kwargs)
+
+    def _read_segment_text(self, segment):
+        self.reads.append(segment.name)
+        return super()._read_segment_text(segment)
+
+
+class TestRefresh:
+    """One open store per process: ``refresh`` loads only new segments."""
+
+    def test_verdict_flushed_by_one_store_served_by_another(self, tmp_path):
+        writer = VerdictStore(tmp_path / "s")
+        reader = VerdictStore(tmp_path / "s")
+        writer.put(NO_PREFIX_FP, KEY_A, True, "full")
+        published = writer.flush()
+        assert reader.get(NO_PREFIX_FP, KEY_A) is None
+        reader.refresh()
+        entry = reader.get(NO_PREFIX_FP, KEY_A)
+        assert entry is not None and entry.ok
+        assert entry.segment == published
+
+    def test_each_segment_is_read_once(self, tmp_path):
+        writer = CountingReads(tmp_path / "s")
+        reader = CountingReads(tmp_path / "s")
+        writer.put(NO_PREFIX_FP, KEY_A, True, "full")
+        published = writer.flush()
+        writer.refresh()
+        assert writer.reads == []  # its own segment counts as seen
+        reader.refresh()
+        reader.refresh()
+        assert reader.reads == [published]
+
+    def test_corrupt_segment_stays_skipped(self, tmp_path):
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        (store_dir / "seg-0000000000000-1-1.jsonl").write_text("garbage\n")
+        store = CountingReads(store_dir)
+        store.refresh()
+        assert store.skipped_segments == 1
+        assert len(store.reads) == 1
+
+    def test_own_published_verdicts_record_hits(self, tmp_path):
+        store = VerdictStore(tmp_path / "s")
+        store.put(NO_PREFIX_FP, KEY_A, True, "full")
+        published = store.flush()
+        assert store.get(NO_PREFIX_FP, KEY_A).segment == published
+        store.flush()
+        assert (tmp_path / "s" / "hits" / published).exists()
+
+    def test_flush_writes_hit_markers_without_pending_writes(self, tmp_path):
+        with VerdictStore(tmp_path / "s") as seed:
+            seed.put(NO_PREFIX_FP, KEY_A, True, "full")
+        store = VerdictStore(tmp_path / "s")
+        segment = store.get(NO_PREFIX_FP, KEY_A).segment
+        assert store.flush() is None  # nothing to publish
+        assert (tmp_path / "s" / "hits" / segment).exists()
 
 
 class TestCompaction:

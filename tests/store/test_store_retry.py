@@ -107,6 +107,21 @@ class TestRetriedReads:
         assert store.skipped_segments == 1
         store.close()
 
+    def test_failed_segment_is_loaded_by_a_later_refresh(self, tmp_path):
+        with VerdictStore(tmp_path / "s") as seed:
+            _put_one(seed)
+        store = FlakySeams(
+            tmp_path / "s",
+            read_failures=2,
+            retry_policy=RetryPolicy(attempts=2, backoff_seconds=0.0),
+            sleep=lambda s: None,
+        )
+        assert store.get("prefix-fp", "k") is None
+        store.refresh()  # the disk has recovered: the segment is read again
+        assert store.get("prefix-fp", "k") is not None
+        assert store.io_errors == 1
+        store.close()
+
 
 class TestIoCounterHandoff:
     def test_take_io_counters_returns_and_zeroes(self, tmp_path):

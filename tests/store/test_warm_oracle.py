@@ -10,6 +10,9 @@ identically).
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.core import explain, explain_many
@@ -19,7 +22,7 @@ from repro.core.quickfix import fix_all
 from repro.corpus import generate_corpus
 from repro.miniml.parser import parse_program
 from repro.obs import MetricsRegistry
-from repro.store import VerdictStore
+from repro.store import NO_PREFIX_FP, VerdictStore
 
 FIG2 = """\
 let map2 f aList bList =
@@ -129,11 +132,19 @@ def _aggregate_calls(entries):
     return total.value("oracle.calls")
 
 
+@pytest.fixture(scope="module")
+def in_process_reports():
+    """Store-less ``explain(source).render()`` per corpus representative."""
+    return [explain(f.program).render() for f in CORPUS.representatives]
+
+
 class TestCorpusWarmVsCold:
     """The headline acceptance test, serial and across batch workers."""
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_warm_byte_identical_and_strictly_cheaper(self, tmp_path, jobs):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_warm_byte_identical_and_strictly_cheaper(
+        self, tmp_path, jobs, in_process_reports
+    ):
         sources = [f.program for f in CORPUS.representatives]
         labels = [
             f"{f.programmer}/{f.assignment}" for f in CORPUS.representatives
@@ -148,7 +159,87 @@ class TestCorpusWarmVsCold:
 
         assert _batch_signature(cold) == _batch_signature(baseline)
         assert _batch_signature(warm) == _batch_signature(baseline)
+        assert [e.report for e in cold] == in_process_reports
+        assert [e.report for e in warm] == in_process_reports
 
         cold_calls = _aggregate_calls(cold)
         warm_calls = _aggregate_calls(warm)
         assert warm_calls < cold_calls
+
+
+BATCH = [FIG2, ILL_TYPED, "let x = 1 + 2\n", FIG2 + "let y = 0\n",
+         ILL_TYPED + "let z = 3\n", "let w = true\n"]
+
+
+@pytest.fixture
+def opened_in(monkeypatch, tmp_path):
+    """Log the pid of every ``VerdictStore`` construction, from any process
+    (forked batch workers inherit the patch and append to the same file)."""
+    log = tmp_path / "opened.log"
+    original = VerdictStore.__init__
+
+    def logging_init(self, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(VerdictStore, "__init__", logging_init)
+    return lambda: [int(pid) for pid in log.read_text().split()] \
+        if log.exists() else []
+
+
+class TestBatchOpensStoreOncePerProcess:
+    def test_serial_batch_opens_the_store_once(self, tmp_path, opened_in):
+        entries = explain_many(BATCH, jobs=1, store=tmp_path / "s")
+        assert all(e.error is None for e in entries)
+        assert opened_in() == [os.getpid()]
+
+    def test_worker_batch_opens_it_once_per_worker(self, tmp_path, opened_in):
+        entries = explain_many(BATCH, jobs=2, store=tmp_path / "s")
+        pids = opened_in()
+        assert len(pids) == len(set(pids))
+        assert set(pids) == {e.worker_pid for e in entries}
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invalidated_counted_once_per_open_store(self, tmp_path, jobs):
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        stale = [json.dumps({"v": 1, "checker": "0" * 32})] + [
+            json.dumps({"p": NO_PREFIX_FP, "k": f"{i:032d}", "ok": True,
+                        "kind": "full"})
+            for i in range(5)
+        ]
+        (store_dir / "seg-0000000000000-1-1.jsonl").write_text(
+            "\n".join(stale) + "\n"
+        )
+        entries = explain_many(BATCH[:3], jobs=jobs, store=store_dir,
+                               collect_metrics=True)
+        total = MetricsRegistry()
+        for entry in entries:
+            total.merge_snapshot(entry.metrics)
+        opens = len({e.worker_pid for e in entries})
+        assert total.value("oracle.store.invalidated") == 5 * opens
+        if jobs == 1:
+            assert total.value("oracle.store.invalidated") == 5
+
+    def test_compact_after_worker_batch_keeps_hit_segments(self, tmp_path):
+        store_dir = tmp_path / "s"
+        # Programs that share no question, so no verdict is published twice
+        # (a duplicate's older copy is never served, hence never hit).
+        sources = [FIG2, ILL_TYPED]
+        explain_many(sources, jobs=2, store=store_dir)
+        cold_segments = sorted(p.name for p in store_dir.glob("seg-*.jsonl"))
+        with VerdictStore(store_dir) as other:
+            other.put(NO_PREFIX_FP, ("never", "asked"), True, "full")
+        [never_hit] = {
+            p.name for p in store_dir.glob("seg-*.jsonl")
+        } - set(cold_segments)
+
+        explain_many(sources, jobs=2, store=store_dir)  # warm: workers hit
+        for name in cold_segments:
+            assert (store_dir / "hits" / name).exists(), name
+        total = sum(p.stat().st_size for p in store_dir.glob("seg-*.jsonl"))
+        summary = VerdictStore(store_dir).compact(max_bytes=total - 1)
+        assert summary["removed_segments"] == 1
+        assert not (store_dir / never_hit).exists()
