@@ -108,6 +108,15 @@ def _fraction_arg(value: str) -> float:
     return fraction
 
 
+def _empty_store(args: argparse.Namespace) -> bool:
+    """``--store ''`` would name the working directory: report it as an
+    input error instead."""
+    if args.store == "":
+        print("error: --store needs a directory path, got ''", file=sys.stderr)
+        return True
+    return False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -540,6 +549,8 @@ def _batch_status(entry) -> str:
 def _run_batch(argv: Sequence[str]) -> int:
     """``python -m repro explain``: many programs, one summary table."""
     args = build_batch_parser().parse_args(argv)
+    if _empty_store(args):
+        return EXIT_INPUT_ERROR
     paths = [pathlib.Path(f) for f in args.files]
     if args.dir is not None:
         directory = pathlib.Path(args.dir)
@@ -723,6 +734,8 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
         return cache_main(argv[1:])
     args = build_parser().parse_args(argv)
+    if _empty_store(args):
+        return EXIT_INPUT_ERROR
     path = pathlib.Path(args.file)
     try:
         source = path.read_text()

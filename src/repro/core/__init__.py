@@ -13,8 +13,6 @@ Public surface:
 * :class:`DegradationReport`/:class:`Deadline` — the fault-tolerance layer
   (:mod:`repro.core.resilience`): every search is best-effort under
   budget, deadline, or oracle crashes.
-* :class:`RetryPolicy`/:func:`with_retry` (:mod:`repro.core.retry`) for
-  retrying transient I/O deterministically.
 """
 
 from .changes import (  # noqa: F401
@@ -46,6 +44,5 @@ from .resilience import (  # noqa: F401
     REASON_DEADLINE,
     REASON_FALLBACK,
 )
-from .retry import RetryPolicy, retry, with_retry  # noqa: F401
 from .searcher import SearchConfig, Searcher, SearchOutcome, SearchStats  # noqa: F401
 from .seminal import BatchEntry, ExplainResult, explain, explain_many  # noqa: F401

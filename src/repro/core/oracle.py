@@ -353,28 +353,18 @@ class Oracle:
         n = store.take_invalidated()
         if n:
             self.metrics.incr("oracle.store.invalidated", n)
-        self._drain_store_io()
+        self.drain_store_io()
 
-    def _drain_store_io(self) -> None:
-        """Surface the store's retried/failed segment I/O (see
-        :meth:`VerdictStore.take_io_counters`) as ``oracle.store.retries``
-        / ``oracle.store.io_errors`` metrics and a ``store_io_error``
-        event — transient ``OSError``s degrade to cache misses, but
-        ``repro report``'s store table should still show they happened."""
-        if self.store is None:
-            return
-        take = getattr(self.store, "take_io_counters", None)
-        if take is None:
-            return
-        try:
-            retries, errors = take()
-        except Exception:
-            return
-        if retries:
-            self.metrics.incr("oracle.store.retries", retries)
+    def drain_store_io(self) -> None:
+        """Surface the store's failed SQL (see
+        :meth:`VerdictStore.take_io_errors`) as ``oracle.store.io_errors``
+        and a ``store_io_error`` event — a failed probe is a miss and a
+        failed flush drops its buffer, but ``repro report``'s store table
+        should still show they happened."""
+        errors = self.store.take_io_errors() if self.store is not None else 0
         if errors:
             self.metrics.incr("oracle.store.io_errors", errors)
-            self.events.emit("store_io_error", errors=errors, retries=retries)
+            self.events.emit("store_io_error", errors=errors)
 
     @property
     def _store_active(self) -> bool:
@@ -434,7 +424,7 @@ class Oracle:
         except Exception:
             if self.strict:
                 raise
-        self._drain_store_io()
+        self.drain_store_io()
 
     # ------------------------------------------------------------------
     # Prefix reuse

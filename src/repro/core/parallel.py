@@ -24,8 +24,8 @@ AUTO_JOBS = "auto"
 Jobs = Union[int, str, None]
 
 #: The verdict stores a pool worker keeps open across its tasks, keyed by
-#: ``(pid, path)``.  Workers never close them: every task flushes its
-#: writes and hit markers before returning.
+#: ``(pid, path)``.  Workers never close them: every task commits its
+#: verdicts and last-hit times before returning.
 _WORKER_STORES: dict = {}
 
 

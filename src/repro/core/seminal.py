@@ -232,6 +232,7 @@ def explain(
                 store_obj.flush()
         except Exception:
             pass  # persisting the cache is best-effort; answers stand
+        searcher.oracle.drain_store_io()
         if events.enabled:
             events.emit(
                 "store",
@@ -316,24 +317,19 @@ def _process_store(path, stores: Dict):
     """This process's open :class:`~repro.store.VerdictStore` for ``path``.
 
     Opened on first use and cached in ``stores`` under ``(pid, path)``, so
-    a forked child never reuses its parent's object; on reuse, segments
-    published since (by any process) are loaded first.  None when the path
-    cannot be opened: the caller then forwards the path itself, and
+    a forked child never reuses its parent's connection.  None when the
+    path cannot be opened: the caller then forwards the path itself, and
     :func:`explain` fails on it per file, after parsing, as it always has.
     """
     from repro.store import VerdictStore
 
     key = (os.getpid(), os.fspath(path))
-    store = stores.get(key)
-    if store is not None:
-        store.refresh()
-        return store
-    try:
-        store = VerdictStore(path)
-    except OSError:
-        return None
-    stores[key] = store
-    return store
+    if key not in stores:
+        try:
+            stores[key] = VerdictStore(path)
+        except (OSError, ValueError):
+            return None
+    return stores[key]
 
 
 def _explain_entry(
@@ -411,10 +407,8 @@ def explain_many(
     A path-valued ``store`` is opened once per process, not once per
     file: the serial parent opens it before the first file and closes it
     after the last; each pool worker opens it on its first task and keeps
-    it for the rest of the batch.  Before each later file the process
-    loads only the segments published since
-    (:meth:`~repro.store.VerdictStore.refresh`), so workers still share
-    each other's verdicts.
+    it for the rest of the batch.  Every probe reads the committed
+    database, so workers still share each other's verdicts.
     """
     source_list = list(sources)
     if labels is None:

@@ -18,10 +18,10 @@ deterministic, seeded schedule —
 * **snapshot poisoning** (``poison_snapshot_after``): once armed, the
   prefix snapshot is wrapped so any use of it explodes, exercising the
   self-healing incremental fallback (``oracle.prefix.fallbacks``);
-* **flaky store I/O** (``store_fail_every``/``store_fail_streak``):
-  :class:`FlakyStore` raises ``OSError`` from the verdict store's segment
-  read/write seams on a deterministic schedule, exercising the
-  ``repro.core.retry`` policy and the degrade-to-cache-miss path;
+* **flaky store I/O** (``store_fail_every``): :class:`FlakyStore` fails
+  the verdict store's SQL seam on a deterministic schedule, exercising
+  the degrade paths (a failed probe is a cache miss, a failed flush rolls
+  back and drops its buffer);
 * **stale decl tables** (``stale_decl_table``): every Nth check marks the
   declaration outcome table stale, exercising the replay-to-check
   degradation.
@@ -40,6 +40,7 @@ every failure mode on every corpus program (see ``tests/faults``).
 from __future__ import annotations
 
 import random
+import sqlite3
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional
@@ -80,12 +81,8 @@ class FaultPlan:
     corrupt_cache_every: Optional[int] = None
     #: Poison the armed prefix snapshot from the Nth check onward.
     poison_snapshot_after: Optional[int] = None
-    #: Inject an OSError from every Nth verdict-store segment I/O
-    #: operation (via :class:`FlakyStore`), each failure repeating for
-    #: ``store_fail_streak`` consecutive attempts (a streak >= the retry
-    #: policy's attempt budget exhausts the retry and degrades).
+    #: Fail every Nth verdict-store SQL statement (via :class:`FlakyStore`).
     store_fail_every: Optional[int] = None
-    store_fail_streak: int = 1
     #: Mark the armed declaration outcome table stale on every Nth check:
     #: every replay-time fingerprint verification must then refuse,
     #: degrading replays to real checks — correct answers, never wrong.
@@ -96,10 +93,7 @@ class FaultPlan:
     def active(self) -> bool:
         return any(
             getattr(self, f.name) for f in fields(self)
-            if f.name not in (
-                "name", "crash_kind", "seed", "latency_seconds",
-                "store_fail_streak",
-            )
+            if f.name not in ("name", "crash_kind", "seed", "latency_seconds")
         )
 
     def crash_exception(self) -> BaseException:
@@ -239,60 +233,30 @@ class ChaosOracle(Oracle):
 
 
 class FlakyStore(VerdictStore):
-    """A :class:`~repro.store.VerdictStore` whose segment I/O fails on a
+    """A :class:`~repro.store.VerdictStore` whose SQL fails on a
     deterministic schedule — the fault route behind the ``flaky-store``
     plan.
 
-    Every ``fail_every``-th segment I/O attempt raises ``OSError``, and
-    each failure repeats for ``fail_streak - 1`` further attempts: a
-    streak of 1 is a transient blip a single retry absorbs; a streak at
-    or past the retry policy's attempt budget exhausts the retry and
-    exercises the degrade path (read → segment skipped, write → verdicts
-    recomputed by the next process).  The schedule counts attempts
-    (retries included), so a given (plan, workload, policy) triple
-    replays identically.
+    Once the store is open, every ``fail_every``-th statement through its
+    SQL seam raises ``sqlite3.OperationalError``: a failed probe degrades
+    to a cache miss, a failed flush rolls back and drops its buffer.  The
+    schedule counts statements, so a given (plan, workload) pair replays
+    identically.
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        fail_every: int = 3,
-        fail_streak: int = 1,
-        fail_reads: bool = True,
-        fail_writes: bool = True,
-        **store_kwargs,
-    ):
-        # Fault state must exist before super().__init__, which calls
-        # refresh() straight into the overridden read seam.
+    def __init__(self, path, *, fail_every: int = 3, **store_kwargs):
         self._fail_every = max(1, int(fail_every))
-        self._fail_streak = max(1, int(fail_streak))
-        self._fail_reads = fail_reads
-        self._fail_writes = fail_writes
-        self._io_ops = 0
-        self._streak_left = 0
+        self._statements: Optional[int] = None  # not armed while opening
         self.injected_io_failures = 0
         super().__init__(path, **store_kwargs)
+        self._statements = 0
 
-    def _maybe_fail(self, op: str) -> None:
-        if op == "read" and not self._fail_reads:
-            return
-        if op == "write" and not self._fail_writes:
-            return
-        if self._streak_left:
-            self._streak_left -= 1
-            self.injected_io_failures += 1
-            raise OSError(f"[flaky-store] injected {op} failure (streak)")
-        self._io_ops += 1
-        if self._io_ops % self._fail_every == 0:
-            self._streak_left = self._fail_streak - 1
-            self.injected_io_failures += 1
-            raise OSError(f"[flaky-store] injected {op} failure #{self._io_ops}")
-
-    def _read_segment_text(self, segment):
-        self._maybe_fail("read")
-        return super()._read_segment_text(segment)
-
-    def _write_segment_file(self, tmp, final, body):
-        self._maybe_fail("write")
-        super()._write_segment_file(tmp, final, body)
+    def _sql(self, statement, *params):
+        if self._statements is not None:
+            self._statements += 1
+            if self._statements % self._fail_every == 0:
+                self.injected_io_failures += 1
+                raise sqlite3.OperationalError(
+                    f"[flaky-store] injected failure #{self._statements}"
+                )
+        return super()._sql(statement, *params)

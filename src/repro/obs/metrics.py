@@ -14,7 +14,7 @@ every call and records nothing.
 
 Counter names are dotted families, minted where the count happens: the
 oracle's ``oracle.*`` (calls, cache, prefix reuse, ``oracle.store.*`` for
-retried store I/O), the enumerator/searcher's ``enum.*``/``search.*`` and
+the verdict store), the enumerator/searcher's ``enum.*``/``search.*`` and
 triage's ``triage.*``.
 """
 

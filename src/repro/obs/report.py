@@ -381,9 +381,8 @@ def render_aggregate(agg: RunAggregate) -> str:
     s_misses = agg.value("oracle.store.misses")
     s_writes = agg.value("oracle.store.writes")
     s_invalidated = agg.value("oracle.store.invalidated")
-    io_retries = agg.value("oracle.store.retries")
     io_errors = agg.value("oracle.store.io_errors")
-    if s_hits or s_misses or s_writes or s_invalidated or io_retries or io_errors:
+    if s_hits or s_misses or s_writes or s_invalidated or io_errors:
         lines.append("")
         lines.append("persistent store:")
         rows = [
@@ -397,8 +396,8 @@ def render_aggregate(agg: RunAggregate) -> str:
             )
         if s_invalidated:
             rows.append(("invalidated", str(s_invalidated)))
-        if io_retries or io_errors:
-            rows.append(("io retries / errors", f"{io_retries} / {io_errors}"))
+        if io_errors:
+            rows.append(("io errors", str(io_errors)))
         lines.extend(_table(rows))
 
     crash_rows = [

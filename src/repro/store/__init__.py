@@ -11,10 +11,10 @@ Contents:
 
 * :mod:`repro.store.fingerprint` — the content-addressed key scheme:
   ``(checker fingerprint, prefix-snapshot fingerprint, structural key)``.
-* :mod:`repro.store.verdicts` — :class:`VerdictStore`: append-only JSONL
-  segment files published atomically (write-temp + rename) so concurrent
-  processes share one directory without locks; corrupt or torn segments
-  are skipped, never raised (the :mod:`repro.core.resilience` contract).
+* :mod:`repro.store.verdicts` — :class:`VerdictStore`: one sqlite3 file
+  that concurrent processes share (one indexed ``SELECT`` per probe, one
+  short transaction per flush); failures degrade to cache misses, never
+  raise (the :mod:`repro.core.resilience` contract).
 * :mod:`repro.store.cli` — ``python -m repro cache stats|clear|compact``.
 """
 

@@ -2,12 +2,12 @@
 
 Subcommands::
 
-    repro cache stats   --store PATH            sizes, segments, invalidated
-    repro cache clear   --store PATH            delete every segment
+    repro cache stats   --store PATH            entries, invalidated, bytes
+    repro cache clear   --store PATH            delete every verdict
     repro cache compact --store PATH [--max-bytes N]
-                                                drop stale/torn files, evict
-                                                least-recently-hit segments
-                                                until under the cap
+                                                delete stale-checker rows,
+                                                evict least-recently-used
+                                                rows until under the cap
 
 Exit codes: 0 on success, 2 on usage errors or an unusable store path
 (matching the main CLI).
@@ -22,6 +22,15 @@ from typing import List, Optional
 from .verdicts import VerdictStore
 
 
+def _byte_cap(value: str) -> int:
+    """``--max-bytes`` accepts a non-negative integer (argparse reports
+    the ``ValueError`` of a non-integer as a usage error)."""
+    cap = int(value)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro cache",
@@ -29,19 +38,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="action", required=True)
     for name, doc in (
-        ("stats", "show store size, segments, and invalidation counts"),
-        ("clear", "delete every segment in the store"),
-        ("compact", "drop stale segments and enforce a size cap"),
+        ("stats", "show store entries, invalidated rows and size"),
+        ("clear", "delete every verdict in the store"),
+        ("compact", "delete stale rows and enforce a size cap"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--store", required=True, help="store directory")
         if name == "compact":
             p.add_argument(
                 "--max-bytes",
-                type=int,
+                type=_byte_cap,
                 default=None,
-                help="evict least-recently-hit segments until total "
-                "segment bytes fit under this cap",
+                help="evict least-recently-used verdicts until the "
+                "database fits under this many bytes",
             )
     return parser
 
@@ -54,38 +63,27 @@ def cache_main(argv: Optional[List[str]] = None, out=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         store = VerdictStore(args.store, read_only=(args.action == "stats"))
-    except OSError as err:  # e.g. --store names a regular file
+    except (OSError, ValueError) as err:  # a regular file, or ''
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.action == "stats":
-        stats = store.stats()
-        print(f"store: {stats.path}", file=out)
-        print(
-            f"  segments: {stats.segments}  entries: {stats.entries}"
-            f"  bytes: {stats.bytes}",
-            file=out,
-        )
-        print(
-            f"  invalidated: {stats.invalidated}"
-            f"  skipped segments: {stats.skipped_segments}"
-            f"  skipped lines: {stats.skipped_lines}"
-            f"  tmp files: {stats.tmp_files}",
-            file=out,
-        )
-        for name, entries, size in stats.per_segment:
-            print(f"    {name}  entries={entries}  bytes={size}", file=out)
-        return 0
-    if args.action == "clear":
-        removed = store.clear()
-        print(f"cleared {removed} file(s) from {store.path}", file=out)
-        return 0
-    summary = store.compact(max_bytes=args.max_bytes)
-    print(
-        f"compacted {store.path}: removed {summary['removed_segments']} "
-        f"segment(s) ({summary['removed_bytes']} bytes) and "
-        f"{summary['removed_tmp']} temp file(s); "
-        f"{summary['remaining_segments']} segment(s) "
-        f"({summary['remaining_bytes']} bytes) remain",
-        file=out,
-    )
+    with store:
+        if args.action == "stats":
+            stats = store.stats()
+            print(f"store: {stats.path}", file=out)
+            print(
+                f"  entries: {stats.entries}  invalidated: {stats.invalidated}"
+                f"  bytes: {stats.bytes}  io errors: {stats.io_errors}",
+                file=out,
+            )
+        elif args.action == "clear":
+            removed = store.clear()
+            print(f"cleared {removed} verdict(s) from {store.path}", file=out)
+        else:
+            summary = store.compact(max_bytes=args.max_bytes)
+            print(
+                f"compacted {store.path}: removed {summary['removed_entries']} "
+                f"verdict(s); {summary['remaining_entries']} verdict(s) "
+                f"({summary['remaining_bytes']} bytes) remain",
+                file=out,
+            )
     return 0

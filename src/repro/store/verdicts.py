@@ -1,53 +1,55 @@
-"""Disk-backed verdict store: append-only, atomic, lock-free, degradable.
+"""Disk-backed verdict store: one sqlite3 file, short write transactions.
 
-On-disk layout (one directory per store)::
-
-    store/
-      seg-<stamp>-<pid>-<n>.jsonl   published segments (immutable)
-      .tmp-<pid>-<n>                in-flight segments (ignored by readers)
-      hits/<segment-name>           last-hit markers (compaction recency)
-
-Each segment is JSON Lines: a header line carrying the schema version and
-the checker fingerprint the segment was written under, then one line per
-verdict.  Writers build a segment in a ``.tmp-*`` file and *publish* it
-with an atomic :func:`os.replace` — readers therefore only ever see whole
-segments, which is what lets concurrent batch runs and batch workers
-share one store directory without locks.  A reader that still encounters a torn
-or corrupt line (a crashed writer's leftovers, disk corruption, a future
-schema) skips that line or segment and keeps going: the store degrades to
-a smaller cache, it never raises (the :mod:`repro.core.resilience`
-contract).
-
-A long-lived reader (a batch process explaining many files) opens the
-store once and calls :meth:`VerdictStore.refresh` between files: it loads
-only the segments published since, by any process.
-
-Entries whose header fingerprint does not match the current
-:func:`~repro.store.fingerprint.checker_fingerprint` are counted as
-invalidated (once per open store) and not indexed; ``compact`` deletes
-such segments outright and enforces a byte-size cap by evicting the
-least-recently-hit segments first.
+A store directory holds ``verdicts.sqlite3`` (WAL mode): one table keyed by
+(checker fingerprint, prefix fingerprint, key digest) with a last-used
+time.  A probe checks this process's write buffer, then runs one indexed
+``SELECT``, so it sees every verdict any process has committed; a flush
+commits the buffer in one short ``BEGIN IMMEDIATE`` transaction, never
+held across a search.  Degrade, never raise (the
+:mod:`repro.core.resilience` contract): failed SQL is a miss or a rolled
+back flush, counted in ``io_errors``; a corrupt database, or one from a
+newer schema, disables the store.  Rows from another checker are never
+served: they count as invalidated and ``compact`` deletes them.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import math
+import sqlite3
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from .fingerprint import checker_fingerprint, key_digest
+from .fingerprint import STORE_SCHEMA_VERSION, checker_fingerprint, key_digest
 
-_SEGMENT_PREFIX = "seg-"
-_SEGMENT_SUFFIX = ".jsonl"
-_TMP_PREFIX = ".tmp-"
-_HITS_DIR = "hits"
+#: The database file inside a store directory.
+DB_NAME = "verdicts.sqlite3"
+
+#: Buffered verdicts that trigger an automatic :meth:`VerdictStore.flush`.
+FLUSH_EVERY = 512
 
 #: Verdict kinds that may be persisted.  Crash/fallback outcomes are
 #: checker *failures*, not answers — they must be recomputed every run.
 STORABLE_KINDS = ("full", "reused", "invalidated")
+
+_SCHEMA = """CREATE TABLE IF NOT EXISTS verdicts (
+    checker TEXT NOT NULL,
+    prefix TEXT NOT NULL,
+    key TEXT NOT NULL,
+    ok INTEGER NOT NULL,
+    kind TEXT NOT NULL,
+    err TEXT,
+    err_kind TEXT,
+    last_used REAL NOT NULL,
+    PRIMARY KEY (checker, prefix, key)
+) WITHOUT ROWID"""
+
+#: Rows under another checker, as two primary-key range scans (``!=``
+#: would scan the whole table).
+_STALE = "checker < ?1 OR checker > ?1"
+
+_ERRORS = (sqlite3.Error, OSError)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class StoredVerdict:
     kind: str  # accounting kind the verdict was computed under
     err: Optional[str] = None  # rendered checker message, when failing
     err_kind: Optional[str] = None  # error class tag (display fidelity)
-    segment: Optional[str] = None  # which segment served it (recency)
 
 
 @dataclass
@@ -66,220 +67,114 @@ class StoreStats:
     """Shape returned by :meth:`VerdictStore.stats` (and ``cache stats``)."""
 
     path: str
-    segments: int = 0
-    entries: int = 0
-    bytes: int = 0
-    invalidated: int = 0
-    skipped_segments: int = 0
-    skipped_lines: int = 0
-    tmp_files: int = 0
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    per_segment: List[Tuple[str, int, int]] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "segments": self.segments,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "invalidated": self.invalidated,
-            "skipped_segments": self.skipped_segments,
-            "skipped_lines": self.skipped_lines,
-            "tmp_files": self.tmp_files,
-            "per_segment": [
-                {"segment": name, "entries": entries, "bytes": size}
-                for name, entries, size in self.per_segment
-            ],
-        }
+    entries: int = 0  # verdicts served under the current checker
+    invalidated: int = 0  # rows under another checker
+    bytes: int = 0  # database size (page count x page size)
+    io_errors: int = 0  # failed SQL, including an unusable database file
 
 
 class VerdictStore:
     """A content-addressed verdict cache shared by many processes.
 
-    Parameters
-    ----------
-    path:
-        Store directory (created unless ``read_only``).
-    read_only:
-        Open for probing only: :meth:`put` and :meth:`flush` become
-        no-ops (``repro store stats`` opens the store this way).
-    flush_every:
-        Publish a segment automatically after this many buffered writes
-        (buffered entries are also visible to :meth:`get` immediately,
-        so a single process never misses its own work).
+    ``path`` is the store directory.  A ``read_only`` store creates
+    nothing and writes nothing (``repro cache stats`` opens it this way).
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        read_only: bool = False,
-        flush_every: int = 512,
-        clock=time.time,
-        retry_policy=None,
-        sleep=time.sleep,
-    ):
+    def __init__(self, path, *, read_only: bool = False, clock=time.time):
+        if not str(path):
+            raise ValueError("empty store path (name a directory)")
         self.path = Path(path)
         self.read_only = read_only
-        self.flush_every = max(1, int(flush_every))
         self._clock = clock
-        # Deferred import: repro.core's package __init__ imports the
-        # oracle, which imports this module for STORABLE_KINDS — a
-        # module-level ``from repro.core.retry import ...`` here would
-        # close that cycle into an ImportError.
-        if retry_policy is None:
-            from repro.core.retry import RetryPolicy
-
-            retry_policy = RetryPolicy(
-                attempts=3, backoff_seconds=0.005, max_backoff_seconds=0.05
-            )
-        self._retry_policy = retry_policy
-        self._sleep = sleep
-        #: Transient segment I/O failures absorbed by a retry.
-        self.io_retries = 0
-        #: Segment I/O operations that exhausted their retries and
-        #: degraded (read -> segment skipped, write -> cache miss later).
-        self.io_errors = 0
         self._fingerprint = checker_fingerprint()
-        self._index: Dict[Tuple[str, str], StoredVerdict] = {}
-        self._pending: List[dict] = []
-        self._segment_seq = 0
-        self._hit_segments: Dict[str, float] = {}
-        #: Segment names already loaded, published by this store, or
-        #: skipped for good (corrupt, future schema): never read again.
-        self._seen: Set[str] = set()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
+        self._pending: Dict[Tuple[str, str], StoredVerdict] = {}
+        self._used: Set[Tuple[str, str]] = set()
         self.invalidated = 0
-        self.skipped_segments = 0
-        self.skipped_lines = 0
+        #: Failed SQL (probe → miss, flush → rollback), or an unusable
+        #: database at open.  Drained by :meth:`take_io_errors`.
+        self.io_errors = 0
         self._invalidated_unreported = 0
+        #: None while the store is disabled (no database, or unusable).
+        self._db: Optional[sqlite3.Connection] = None
         if not read_only:
             self.path.mkdir(parents=True, exist_ok=True)
-        self.refresh()
+        self._open()
 
-    # ------------------------------------------------------------------
-    # Loading (degrade, never raise)
-    # ------------------------------------------------------------------
-
-    def _segment_files(self) -> List[Path]:
+    def _open(self) -> None:
+        """Connect, create or check the schema and count stale rows; any
+        failure leaves the store disabled."""
+        file = self.path / DB_NAME
+        if self.read_only and not file.is_file():
+            return
+        mode = "ro" if self.read_only else "rwc"
+        uri = f"{file.absolute().as_uri()}?mode={mode}"
         try:
-            names = sorted(
-                p
-                for p in self.path.iterdir()
-                if p.name.startswith(_SEGMENT_PREFIX)
-                and p.name.endswith(_SEGMENT_SUFFIX)
-            )
-        except OSError:
-            return []
-        return names
-
-    def refresh(self) -> None:
-        """Load the segments this store has not seen yet.
-
-        A segment whose read failed after its retries is tried again on
-        the next refresh; every other segment is read at most once.
-        """
-        for segment in self._segment_files():
-            if segment.name in self._seen:
-                continue
-            if self._load_segment(segment):
-                self._seen.add(segment.name)
-
-    def _with_retry(self, fn):
-        """Wrap one I/O seam in the store's retry policy (lazy import —
-        see ``__init__`` for the package-cycle note)."""
-        from repro.core.retry import with_retry
-
-        def note(attempt, err):
-            self.io_retries += 1
-
-        return with_retry(fn, self._retry_policy, sleep=self._sleep, on_retry=note)
-
-    def _read_segment_text(self, segment: Path) -> str:
-        """The raw-read seam (overridden by fault injection; retried)."""
-        with open(segment, "r", encoding="utf-8", errors="replace") as fh:
-            return fh.read()
-
-    def _write_segment_file(self, tmp: Path, final: Path, body: str) -> None:
-        """The write-and-publish seam (overridden by fault injection;
-        retried as a unit so a republished rename never sees a partial
-        temp file — the temp is rewritten from scratch each attempt)."""
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-
-    def _load_segment(self, segment: Path) -> bool:
-        """Index one segment; False when its read failed (retry later)."""
-        try:
-            lines = self._with_retry(self._read_segment_text)(segment).splitlines()
-        except OSError:
+            self._db = sqlite3.connect(uri, uri=True, isolation_level=None)
+            version = self._sql("PRAGMA user_version").fetchone()[0]
+            if version > STORE_SCHEMA_VERSION:
+                raise sqlite3.DatabaseError(f"newer store schema {version}")
+            if version < STORE_SCHEMA_VERSION and not self.read_only:
+                self._sql("PRAGMA journal_mode=WAL")
+                self._transaction([
+                    (_SCHEMA,),
+                    (f"PRAGMA user_version = {STORE_SCHEMA_VERSION}",),
+                ])
+            stale = self._sql(f"SELECT count(*) FROM verdicts WHERE {_STALE}",
+                              self._fingerprint)
+            self.invalidated = stale.fetchone()[0]
+        except _ERRORS:
             self.io_errors += 1
-            self.skipped_segments += 1
-            return False
-        if not lines:
-            self.skipped_segments += 1
-            return True
-        try:
-            header = json.loads(lines[0])
-            version = header["v"]
-            seg_fp = header["checker"]
-        except Exception:
-            self.skipped_segments += 1
-            return True
-        if version != 1:
-            # A future schema: skip the whole segment, never misread it.
-            self.skipped_segments += 1
-            return True
-        stale = seg_fp != self._fingerprint
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            if stale:
-                # Checker (or stdlib, or schema) changed since this was
-                # written: the verdict may no longer be true.
-                self.invalidated += 1
-                self._invalidated_unreported += 1
-                continue
-            try:
-                raw = json.loads(line)
-                address = (str(raw["p"]), str(raw["k"]))
-                entry = StoredVerdict(
-                    ok=bool(raw["ok"]),
-                    kind=str(raw["kind"]),
-                    err=raw.get("err"),
-                    err_kind=raw.get("ek"),
-                    segment=segment.name,
-                )
-            except Exception:
-                # Torn tail of a crashed writer, or corruption: skip the
-                # line, keep the rest of the segment.
-                self.skipped_lines += 1
-                continue
-            self._index[address] = entry
-        return True
+            self._disconnect()
+            return
+        self._invalidated_unreported = self.invalidated
 
-    # ------------------------------------------------------------------
-    # The probe/write interface
-    # ------------------------------------------------------------------
+    def _sql(self, statement: str, *params) -> sqlite3.Cursor:
+        """Run one SQL statement: the seam every query goes through
+        (fault injection overrides it)."""
+        return self._db.execute(statement, params)
+
+    def _transaction(self, statements) -> None:
+        """Run ``(sql, *params)`` statements in one ``BEGIN IMMEDIATE``
+        transaction, rolled back if any of them raises."""
+        self._sql("BEGIN IMMEDIATE")
+        try:
+            for statement in statements:
+                self._sql(*statement)
+            self._sql("COMMIT")
+        except BaseException:
+            self._db.rollback()
+            raise
+
+    def _disconnect(self) -> None:
+        if self._db is not None:
+            self._db.close()
+        self._db = None
 
     def __len__(self) -> int:
-        return len(self._index)
+        """Verdicts served under the current checker, buffered included."""
+        return (self._count() if self._db else 0) + len(self._pending)
+
+    def _count(self) -> int:
+        return self._sql("SELECT count(*) FROM verdicts WHERE checker = ?",
+                         self._fingerprint).fetchone()[0]
 
     def get(self, prefix_fp: str, structural_key: object) -> Optional[StoredVerdict]:
         """Probe for a verdict under ``(checker, prefix regime, program)``."""
-        entry = self._index.get((prefix_fp, key_digest(structural_key)))
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if entry.segment is not None:
-            self._hit_segments[entry.segment] = self._clock()
+        address = (prefix_fp, key_digest(structural_key))
+        entry = self._pending.get(address)
+        if entry is None and self._db is not None:
+            try:
+                row = self._sql(
+                    "SELECT ok, kind, err, err_kind FROM verdicts"
+                    " WHERE checker = ? AND prefix = ? AND key = ?",
+                    self._fingerprint, *address,
+                ).fetchone()
+            except _ERRORS:
+                self.io_errors += 1
+                row = None
+            if row is not None:
+                entry = StoredVerdict(bool(row[0]), row[1], row[2], row[3])
+                self._used.add(address)
         return entry
 
     def put(
@@ -291,118 +186,61 @@ class VerdictStore:
         err: Optional[str] = None,
         err_kind: Optional[str] = None,
     ) -> bool:
-        """Record a verdict; returns True when it was actually enqueued.
+        """Buffer a verdict; returns True when it was actually enqueued.
 
-        Crash/fallback kinds and read-only stores are silently refused —
-        only clean answers are worth remembering.
+        Crash/fallback kinds, read-only and disabled stores are silently
+        refused — only clean answers are worth remembering.
         """
-        if self.read_only or kind not in STORABLE_KINDS:
+        if self._db is None or self.read_only or kind not in STORABLE_KINDS:
             return False
-        digest = key_digest(structural_key)
-        if (prefix_fp, digest) in self._index:
-            return False  # already known: verdicts are deterministic
-        self._index[(prefix_fp, digest)] = StoredVerdict(
-            ok=ok, kind=kind, err=err, err_kind=err_kind
-        )
-        self._pending.append(
-            {"p": prefix_fp, "k": digest, "ok": ok, "kind": kind, "err": err, "ek": err_kind}
-        )
-        self.writes += 1
-        if len(self._pending) >= self.flush_every:
+        address = (prefix_fp, key_digest(structural_key))
+        if address in self._pending:
+            return False  # already buffered: verdicts are deterministic
+        self._pending[address] = StoredVerdict(ok, kind, err, err_kind)
+        if len(self._pending) >= FLUSH_EVERY:
             self.flush()
         return True
 
     def take_invalidated(self) -> int:
         """Invalidated-entry count not yet surfaced to metrics (once)."""
-        n = self._invalidated_unreported
-        self._invalidated_unreported = 0
+        n, self._invalidated_unreported = self._invalidated_unreported, 0
         return n
 
-    def take_io_counters(self) -> Tuple[int, int]:
-        """``(retries, errors)`` accumulated since the last call (the
-        oracle drains these into ``oracle.store.retries`` /
+    def take_io_errors(self) -> int:
+        """I/O errors since the last call (the oracle drains these into
         ``oracle.store.io_errors`` and a ``store_io_error`` event)."""
-        counters = (self.io_retries, self.io_errors)
-        self.io_retries = 0
-        self.io_errors = 0
-        return counters
+        n, self.io_errors = self.io_errors, 0
+        return n
 
-    # ------------------------------------------------------------------
-    # Publication (atomic) and lifecycle
-    # ------------------------------------------------------------------
+    def flush(self) -> int:
+        """Commit buffered verdicts and last-hit times in one short
+        transaction; returns the number of verdicts committed.
 
-    def _next_names(self) -> Tuple[Path, Path]:
-        self._segment_seq += 1
-        pid = os.getpid()
-        stamp = int(self._clock() * 1000)
-        tmp = self.path / f"{_TMP_PREFIX}{pid}-{self._segment_seq}"
-        final = (
-            self.path
-            / f"{_SEGMENT_PREFIX}{stamp:013d}-{pid}-{self._segment_seq}{_SEGMENT_SUFFIX}"
-        )
-        return tmp, final
-
-    def flush(self) -> Optional[str]:
-        """Publish buffered writes as one new segment (atomic rename) and
-        persist hit-recency markers.
-
-        Returns the published segment name, or None when there was
-        nothing to publish or publication failed (failure degrades: the
-        verdicts stay served from memory for this process and are simply
-        recomputed by the next one).  Markers are written here, not only
-        in :meth:`close`, because batch workers never close their store.
+        The buffer is emptied either way: after a failed commit its
+        verdicts are simply recomputed when next asked for.
         """
-        if self.read_only:
-            return None
-        published = self._publish() if self._pending else None
-        self._write_hit_markers()
-        return published
-
-    def _publish(self) -> Optional[str]:
-        tmp, final = self._next_names()
-        header = json.dumps({"v": 1, "checker": self._fingerprint})
-        body = "\n".join(
-            [header] + [json.dumps(e, sort_keys=True) for e in self._pending]
-        )
+        pending, used = self._pending, self._used
+        self._pending, self._used = {}, set()
+        if self._db is None or self.read_only or not (pending or used):
+            return 0
+        now, fp = self._clock(), self._fingerprint
+        insert = "INSERT OR IGNORE INTO verdicts VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+        touch = ("UPDATE verdicts SET last_used = ?"
+                 " WHERE checker = ? AND prefix = ? AND key = ?")
+        statements = [(insert, fp, prefix, key, v.ok, v.kind, v.err, v.err_kind, now)
+                      for (prefix, key), v in pending.items()]
+        statements += [(touch, now, fp, prefix, key) for prefix, key in used]
         try:
-            self._with_retry(self._write_segment_file)(tmp, final, body)
-        except OSError:
+            self._transaction(statements)
+        except _ERRORS:
             self.io_errors += 1
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-        # Own verdicts now live in a named segment: hits on them from
-        # later files of this process mark that segment as recently used.
-        for e in self._pending:
-            address = (e["p"], e["k"])
-            self._index[address] = replace(self._index[address], segment=final.name)
-        self._pending = []
-        self._seen.add(final.name)
-        return final.name
-
-    def _write_hit_markers(self) -> None:
-        if self.read_only or not self._hit_segments:
-            return
-        hits_dir = self.path / _HITS_DIR
-        try:
-            hits_dir.mkdir(exist_ok=True)
-        except OSError:
-            return
-        for segment, stamp in self._hit_segments.items():
-            marker = hits_dir / segment
-            tmp = hits_dir / f"{_TMP_PREFIX}{os.getpid()}-{segment}"
-            try:
-                tmp.write_text(f"{stamp}\n", encoding="utf-8")
-                os.replace(tmp, marker)
-            except OSError:
-                continue
-        self._hit_segments = {}
+            return 0
+        return len(pending)
 
     def close(self) -> None:
-        """Flush pending writes and persist hit-recency markers."""
+        """Flush, then release the database connection."""
         self.flush()
+        self._disconnect()
 
     def __enter__(self) -> "VerdictStore":
         return self
@@ -410,134 +248,60 @@ class VerdictStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # Maintenance (the ``repro cache`` subcommand)
-    # ------------------------------------------------------------------
+    def _bytes(self) -> int:
+        return self._sql("SELECT page_count * page_size"
+                         " FROM pragma_page_count(), pragma_page_size()").fetchone()[0]
 
     def stats(self) -> StoreStats:
-        stats = StoreStats(
-            path=str(self.path),
-            invalidated=self.invalidated,
-            skipped_segments=self.skipped_segments,
-            skipped_lines=self.skipped_lines,
-            hits=self.hits,
-            misses=self.misses,
-            writes=self.writes,
-        )
-        for segment in self._segment_files():
-            try:
-                size = segment.stat().st_size
-                with open(segment, "r", encoding="utf-8", errors="replace") as fh:
-                    entries = max(0, sum(1 for line in fh if line.strip()) - 1)
-            except OSError:
-                continue
-            stats.segments += 1
-            stats.bytes += size
-            stats.entries += entries
-            stats.per_segment.append((segment.name, entries, size))
+        stats = StoreStats(path=str(self.path), invalidated=self.invalidated)
         try:
-            stats.tmp_files = sum(
-                1 for p in self.path.iterdir() if p.name.startswith(_TMP_PREFIX)
-            )
-        except OSError:
-            pass
+            stats.entries = len(self)
+            stats.bytes = self._bytes() if self._db else 0
+        except _ERRORS:
+            self.io_errors += 1
+        stats.io_errors = self.io_errors
         return stats
 
-    def clear(self) -> int:
-        """Delete every segment, marker, and temp file.  Returns the
-        number of files removed."""
-        removed = 0
-        try:
-            candidates = list(self.path.iterdir())
-        except OSError:
-            return 0
-        for p in candidates:
-            if p.name == _HITS_DIR and p.is_dir():
-                for marker in list(p.iterdir()):
-                    removed += self._unlink(marker)
-                continue
-            if p.name.startswith((_SEGMENT_PREFIX, _TMP_PREFIX)):
-                removed += self._unlink(p)
-        self._index = {}
-        self._pending = []
-        self._hit_segments = {}
-        self._seen = set()
+    def _delete(self, where: str, *params) -> int:
+        """Delete the matching rows, then rebuild the file to release
+        their pages; returns the number of rows deleted."""
+        removed = self._sql(f"DELETE FROM verdicts WHERE {where}", *params).rowcount
+        self._sql("VACUUM")
         return removed
 
-    @staticmethod
-    def _unlink(p: Path) -> int:
+    def clear(self) -> int:
+        """Delete every verdict; returns how many were removed."""
+        self._pending, self._used = {}, set()
         try:
-            p.unlink()
-            return 1
-        except OSError:
+            return self._delete("1") if self._db else 0
+        except _ERRORS:
+            self.io_errors += 1
             return 0
 
-    def _last_hit(self, segment: Path) -> float:
-        """Recency key for eviction: the hit marker's stamp when present,
-        else the segment's own mtime (never hit since written)."""
-        marker = self.path / _HITS_DIR / segment.name
-        try:
-            return float(marker.read_text().strip())
-        except (OSError, ValueError):
-            pass
-        try:
-            return segment.stat().st_mtime
-        except OSError:
-            return 0.0
-
     def compact(self, max_bytes: Optional[int] = None) -> dict:
-        """Trim the store: drop leftover temp files, delete segments whose
-        checker fingerprint is stale, then — when ``max_bytes`` is given —
-        evict least-recently-hit segments until the cap is met."""
-        removed_segments = 0
-        removed_bytes = 0
-        removed_tmp = 0
-        try:
-            for p in list(self.path.iterdir()):
-                if p.name.startswith(_TMP_PREFIX):
-                    removed_tmp += self._unlink(p)
-        except OSError:
-            pass
-        live: List[Tuple[Path, int]] = []
-        for segment in self._segment_files():
+        """Delete rows written under another checker, then — when
+        ``max_bytes`` is given — evict least-recently-used rows until the
+        database fits under the cap (or is empty)."""
+        removed = 0
+        if self._db is not None:
             try:
-                size = segment.stat().st_size
-                with open(segment, "r", encoding="utf-8", errors="replace") as fh:
-                    first = fh.readline()
-                header = json.loads(first)
-                fresh = header.get("v") == 1 and header.get("checker") == self._fingerprint
-            except Exception:
-                fresh = False
-                size = 0
-            if fresh:
-                live.append((segment, size))
-            else:
-                removed_segments += 1
-                removed_bytes += size
-                self._unlink(segment)
-                self._unlink(self.path / _HITS_DIR / segment.name)
-        if max_bytes is not None:
-            total = sum(size for _, size in live)
-            # Coldest first; name as a deterministic tie-break.
-            live.sort(key=lambda item: (self._last_hit(item[0]), item[0].name))
-            while live and total > max_bytes:
-                segment, size = live.pop(0)
-                total -= size
-                removed_segments += 1
-                removed_bytes += size
-                self._unlink(segment)
-                self._unlink(self.path / _HITS_DIR / segment.name)
-        remaining = self._segment_files()
-        remaining_bytes = 0
-        for segment in remaining:
-            try:
-                remaining_bytes += segment.stat().st_size
-            except OSError:
-                continue
+                removed += self._delete(_STALE, self._fingerprint)
+                self.invalidated = 0
+                size, rows = self._bytes(), self._count()
+                while max_bytes is not None and size > max_bytes and rows:
+                    # Evict the overshoot's share of rows, coldest first.
+                    n = max(1, math.ceil(rows * (size - max_bytes) / size))
+                    removed += self._delete(
+                        "(checker, prefix, key) IN (SELECT checker, prefix, key"
+                        " FROM verdicts ORDER BY last_used, prefix, key LIMIT ?)",
+                        n,
+                    )
+                    size, rows = self._bytes(), self._count()
+            except _ERRORS:
+                self.io_errors += 1
+        stats = self.stats()
         return {
-            "removed_segments": removed_segments,
-            "removed_bytes": removed_bytes,
-            "removed_tmp": removed_tmp,
-            "remaining_segments": len(remaining),
-            "remaining_bytes": remaining_bytes,
+            "removed_entries": removed,
+            "remaining_entries": stats.entries,
+            "remaining_bytes": stats.bytes,
         }

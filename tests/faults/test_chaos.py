@@ -22,6 +22,7 @@ from repro.faults import (
     ChaosCrash,
     ChaosOracle,
     FaultPlan,
+    FlakyStore,
     SnapshotPoisoned,
     standard_fault_plans,
 )
@@ -75,9 +76,15 @@ class TestChaosMatrix:
     """The acceptance sweep: every program x every plan, never a raise."""
 
     @pytest.mark.parametrize("plan_name", sorted(standard_fault_plans()))
-    def test_every_corpus_program_survives(self, plan_name, corpus_files):
+    def test_every_corpus_program_survives(
+        self, plan_name, corpus_files, tmp_path
+    ):
         plan = standard_fault_plans()[plan_name]
         oracle = ChaosOracle(plan, cache=True)
+        store = None
+        if plan.store_fail_every:
+            store = FlakyStore(tmp_path / "store", fail_every=plan.store_fail_every)
+            oracle.attach_store(store)
         for corpus_file in corpus_files:
             oracle.reset()
             result = explain(corpus_file.program, oracle=oracle)
@@ -86,6 +93,9 @@ class TestChaosMatrix:
                 assert REASON_CRASH in result.degradation.reasons
             if oracle.injected["snapshot"] and oracle.prefix_fallbacks:
                 assert REASON_FALLBACK in result.degradation.reasons
+        if store is not None:
+            store.close()
+            assert store.injected_io_failures > 0
 
     def test_crashes_actually_fire(self, corpus_files):
         plan = standard_fault_plans()["crash-every-3"]

@@ -340,6 +340,33 @@ class TestMain:
         assert "REGRESSION" not in out
         assert "supervision" not in out
 
+    @pytest.mark.parametrize("where", ["event log", "baseline"])
+    def test_old_store_retries_counter_is_ok(self, tmp_path, capsys, where):
+        """Logs and baselines written while the store had a retry layer
+        carry ``oracle.store.retries``: the report reads and diffs them
+        with exit 0, no retries row and no regression."""
+        path = tmp_path / "e.jsonl"
+        base = tmp_path / "base.json"
+        sample_event_log(path)
+        assert main([str(path), "--save", str(base)]) == EXIT_OK
+        old = {"oracle.store.retries": 3, "oracle.store.io_errors": 1}
+        if where == "event log":
+            lines = path.read_text().splitlines()
+            metrics = json.loads(lines[7])
+            metrics["counters"].update(old)
+            lines[7] = json.dumps(metrics)
+            write_event_log(path, lines)
+        else:
+            doc = json.loads(base.read_text())
+            doc["counters"].update(old)
+            base.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([str(path)]) == EXIT_OK
+        assert main([str(path), "--diff", str(base)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "REGRESSION" not in out
+        assert "io retries" not in out
+
     def test_unknown_schema_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v": 99, "seq": 0, "t": 0, "type": "x"}\n')

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.store import NO_PREFIX_FP, VerdictStore
+from repro.store.verdicts import DB_NAME
 
 ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 
@@ -24,20 +27,18 @@ class TestCacheSubcommand:
         assert main(["cache", "stats", "--store", str(seeded_store)]) == 0
         out = capsys.readouterr().out
         assert f"store: {seeded_store}" in out
-        assert "segments: 1  entries: 2" in out
-        assert "invalidated: 0" in out
+        assert "entries: 2  invalidated: 0" in out
+        assert "io errors: 0" in out
 
     def test_clear(self, seeded_store, capsys):
         assert main(["cache", "clear", "--store", str(seeded_store)]) == 0
-        assert "cleared 1 file(s)" in capsys.readouterr().out
-        assert not list(seeded_store.glob("seg-*"))
+        assert "cleared 2 verdict(s)" in capsys.readouterr().out
+        assert len(VerdictStore(seeded_store)) == 0
 
     def test_compact(self, seeded_store, capsys):
-        (seeded_store / ".tmp-1-1").write_text("torn")
         assert main(["cache", "compact", "--store", str(seeded_store)]) == 0
         out = capsys.readouterr().out
-        assert "1 temp file(s)" in out
-        assert "1 segment(s)" in out
+        assert "removed 0 verdict(s); 2 verdict(s)" in out
 
     def test_compact_max_bytes_zero_evicts_all(self, seeded_store, capsys):
         code = main(
@@ -45,7 +46,17 @@ class TestCacheSubcommand:
              "--max-bytes", "0"]
         )
         assert code == 0
-        assert not list(seeded_store.glob("seg-*"))
+        assert "removed 2 verdict(s); 0 verdict(s)" in capsys.readouterr().out
+        assert len(VerdictStore(seeded_store)) == 0
+
+    def test_negative_max_bytes_is_a_usage_error(self, seeded_store, capsys):
+        code = main(
+            ["cache", "compact", "--store", str(seeded_store),
+             "--max-bytes", "-1"]
+        )
+        assert code == 2
+        assert "--max-bytes: must be >= 0" in capsys.readouterr().err
+        assert len(VerdictStore(seeded_store)) == 2  # nothing evicted
 
     def test_missing_action_usage_error(self, capsys):
         assert main(["cache"]) == 2
@@ -80,7 +91,7 @@ class TestStoreFlag:
 
         assert code_cold == code_warm
         assert warm_out == cold_out
-        assert list(store.glob("seg-*.jsonl"))  # verdicts persisted
+        assert len(VerdictStore(store)) > 0  # verdicts persisted
 
     def test_batch_mode_warm_output_identical(self, tmp_path, capsys):
         bad = tmp_path / "bad.ml"
@@ -142,3 +153,56 @@ class TestStoreFlag:
         absent_out = capsys.readouterr().out
 
         assert warm_out == cold_out == absent_out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["{file}"], ["explain", "{file}"], ["cache", "stats"],
+         ["cache", "clear"], ["cache", "compact"]],
+    )
+    def test_empty_store_path_is_an_input_error(
+        self, tmp_path, monkeypatch, argv, capsys
+    ):
+        source = tmp_path / "bad.ml"
+        source.write_text(ILL_TYPED)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [arg.format(file=source) for arg in argv]
+        assert main([*argv, "--store", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(work.iterdir()) == []  # the working directory untouched
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_garbage_database_batch_matches_storeless(
+        self, tmp_path, jobs, capsys
+    ):
+        bad = tmp_path / "bad.ml"
+        bad.write_text(ILL_TYPED)
+        ok = tmp_path / "ok.ml"
+        ok.write_text("let x = 1 + 2\n")
+        store = tmp_path / "store"
+        store.mkdir()
+        garbage = b"not a database " * 400
+        (store / DB_NAME).write_bytes(garbage)
+        events = tmp_path / "events.jsonl"
+        files = ["explain", str(bad), str(ok), "--jobs", jobs]
+
+        assert main(files) == 1
+        plain = capsys.readouterr().out
+        assert main([*files, "--store", str(store), "--events", str(events)]) == 1
+        captured = capsys.readouterr()
+
+        strip = lambda text: [
+            line.rsplit("  ", 1)[0] for line in text.splitlines()
+        ]
+        assert strip(captured.out) == strip(plain)
+        assert "Traceback" not in captured.err
+        [metrics] = [
+            line for line in map(json.loads, events.read_text().splitlines())
+            if line["type"] == "metrics"
+        ]
+        assert metrics["counters"]["oracle.store.io_errors"] > 0
+        assert (store / DB_NAME).read_bytes() == garbage

@@ -10,8 +10,8 @@ identically).
 
 from __future__ import annotations
 
-import json
 import os
+import sqlite3
 
 import pytest
 
@@ -23,6 +23,7 @@ from repro.corpus import generate_corpus
 from repro.miniml.parser import parse_program
 from repro.obs import MetricsRegistry
 from repro.store import NO_PREFIX_FP, VerdictStore
+from repro.store.verdicts import DB_NAME
 
 FIG2 = """\
 let map2 f aList bList =
@@ -204,15 +205,12 @@ class TestBatchOpensStoreOncePerProcess:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_invalidated_counted_once_per_open_store(self, tmp_path, jobs):
         store_dir = tmp_path / "s"
-        store_dir.mkdir()
-        stale = [json.dumps({"v": 1, "checker": "0" * 32})] + [
-            json.dumps({"p": NO_PREFIX_FP, "k": f"{i:032d}", "ok": True,
-                        "kind": "full"})
-            for i in range(5)
-        ]
-        (store_dir / "seg-0000000000000-1-1.jsonl").write_text(
-            "\n".join(stale) + "\n"
-        )
+        VerdictStore(store_dir).close()
+        with sqlite3.connect(store_dir / DB_NAME) as db:
+            db.executemany(
+                "INSERT INTO verdicts VALUES (?, ?, ?, 1, 'full', NULL, NULL, 0)",
+                [("0" * 32, NO_PREFIX_FP, f"{i:032d}") for i in range(5)],
+            )
         entries = explain_many(BATCH[:3], jobs=jobs, store=store_dir,
                                collect_metrics=True)
         total = MetricsRegistry()
@@ -223,23 +221,76 @@ class TestBatchOpensStoreOncePerProcess:
         if jobs == 1:
             assert total.value("oracle.store.invalidated") == 5
 
-    def test_compact_after_worker_batch_keeps_hit_segments(self, tmp_path):
+    def test_compact_after_worker_batch_keeps_hit_rows(self, tmp_path):
         store_dir = tmp_path / "s"
-        # Programs that share no question, so no verdict is published twice
-        # (a duplicate's older copy is never served, hence never hit).
         sources = [FIG2, ILL_TYPED]
         explain_many(sources, jobs=2, store=store_dir)
-        cold_segments = sorted(p.name for p in store_dir.glob("seg-*.jsonl"))
         with VerdictStore(store_dir) as other:
-            other.put(NO_PREFIX_FP, ("never", "asked"), True, "full")
-        [never_hit] = {
-            p.name for p in store_dir.glob("seg-*.jsonl")
-        } - set(cold_segments)
+            for i in range(40):
+                other.put(NO_PREFIX_FP, ("never", i), True, "full")
+        with sqlite3.connect(store_dir / DB_NAME) as db:
+            # Backdate every row, so only the warm run's hits are recent.
+            db.execute("UPDATE verdicts SET last_used = 0")
+            rows = db.execute("SELECT count(*) FROM verdicts").fetchone()[0]
 
         explain_many(sources, jobs=2, store=store_dir)  # warm: workers hit
-        for name in cold_segments:
-            assert (store_dir / "hits" / name).exists(), name
-        total = sum(p.stat().st_size for p in store_dir.glob("seg-*.jsonl"))
-        summary = VerdictStore(store_dir).compact(max_bytes=total - 1)
-        assert summary["removed_segments"] == 1
-        assert not (store_dir / never_hit).exists()
+        with sqlite3.connect(store_dir / DB_NAME) as db:
+            hit_rows = db.execute(
+                "SELECT count(*) FROM verdicts WHERE last_used > 0"
+            ).fetchone()[0]
+        assert 0 < hit_rows < rows
+
+        survivor = VerdictStore(store_dir)
+        summary = survivor.compact(max_bytes=survivor.stats().bytes // 2)
+        assert summary["removed_entries"] >= 1
+        with sqlite3.connect(store_dir / DB_NAME) as db:
+            kept_hit, kept_cold = db.execute(
+                "SELECT count(*) FILTER (WHERE last_used > 0),"
+                " count(*) FILTER (WHERE last_used = 0) FROM verdicts"
+            ).fetchone()
+        # Hit rows outlive the rest: none is evicted while a cold row stays.
+        assert kept_cold == 0 or kept_hit == hit_rows
+        assert kept_hit > 0
+        assert kept_hit + kept_cold == summary["remaining_entries"]
+
+
+#: The benchmark of record: every representative of the full-scale corpus.
+FULL_SCALE = generate_corpus(scale=1.0, seed=2007).representatives
+FULL_SCALE_IDS = [
+    f"{f.programmer}-{f.assignment}-{i}" for i, f in enumerate(FULL_SCALE)
+]
+
+
+@pytest.fixture(scope="module")
+def full_scale_runs(tmp_path_factory):
+    """Per representative: the store-less render, then a cold and a warm
+    pass through one store held open (as a batch process holds it), each
+    with the render and the real checker invocations it made."""
+    def run(program, store):
+        metrics = MetricsRegistry()
+        result = explain(program, store=store, metrics=metrics)
+        return result.render(), metrics.value("oracle.calls")
+
+    absent = [explain(f.program).render() for f in FULL_SCALE]
+    path = tmp_path_factory.mktemp("full-scale") / "store"
+    passes = []
+    for _ in ("cold", "warm"):
+        with VerdictStore(path) as store:
+            passes.append([run(f.program, store) for f in FULL_SCALE])
+    return absent, passes[0], passes[1]
+
+
+class TestFullScaleColdVsWarm:
+    @pytest.mark.parametrize("index", range(len(FULL_SCALE)), ids=FULL_SCALE_IDS)
+    def test_render_identical_cold_warm_absent(self, index, full_scale_runs):
+        absent, cold, warm = full_scale_runs
+        (cold_render, cold_calls), (warm_render, warm_calls) = (
+            cold[index], warm[index]
+        )
+        assert cold_render == absent[index]
+        assert warm_render == absent[index]
+        assert warm_calls <= cold_calls
+
+    def test_warm_pass_makes_fewer_real_checks(self, full_scale_runs):
+        _, cold, warm = full_scale_runs
+        assert sum(c for _, c in warm) < sum(c for _, c in cold)

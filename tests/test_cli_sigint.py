@@ -137,9 +137,9 @@ class TestSigintMidSearch:
             token,
         )
         assert code == 130, (out, err)
-        # Whatever the interrupted run managed to publish is served; any
-        # half-written leftovers are invisible (never a raise, no torn
-        # segments indexed).
+        # Whatever the interrupted run managed to commit is served; an
+        # interrupted transaction is invisible (never a raise, no I/O
+        # error on open).
         store = VerdictStore(store_dir)
-        assert store.skipped_lines == 0
+        assert store.io_errors == 0
         store.close()
